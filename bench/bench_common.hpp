@@ -61,12 +61,6 @@ struct MatchRow {
   std::size_t path_label_prunes = 0;  ///< postulates refuted by path labels
   std::size_t symmetry_skips = 0;     ///< mappings folded by automorphisms
   std::size_t infeasible_shortcuts = 0;  ///< searches skipped by certificate
-  // Sharded-sweep counters (all zero on monolithic rows; deterministic —
-  // the shard plan is a pure function of the host, the round-0 skip rule a
-  // pure function of (plan, pattern)).
-  std::size_t shards_total = 0;       ///< regions in the session's plan
-  std::size_t shards_skipped = 0;     ///< regions bulk-skipped for >= 1 kind
-  std::size_t shards_prefilter_rejects = 0;  ///< regions dead for BOTH kinds
 };
 
 /// Run one match through an existing HostSession and collect the row. A
@@ -116,9 +110,6 @@ inline MatchRow run_match_in_session(const std::string& circuit_name,
   row.path_label_prunes = r.phase2.path_label_prunes;
   row.symmetry_skips = r.phase2.symmetry_skips;
   row.infeasible_shortcuts = r.infeasible_shortcuts;
-  row.shards_total = r.phase1.shards_total;
-  row.shards_skipped = r.phase1.shards_skipped;
-  row.shards_prefilter_rejects = r.phase1.shards_prefilter_rejects;
   const obs::Snapshot snap = metrics.collect();
   row.host_relabel_ops = snap.counter("phase1.label_cache.relabel_ops");
   row.cache_hits = snap.counter("phase1.label_cache.hits");
@@ -170,9 +161,6 @@ inline json::Value counters_json(const std::vector<MatchRow>& rows) {
     v.set("path_label_prunes", r.path_label_prunes);
     v.set("symmetry_skips", r.symmetry_skips);
     v.set("infeasible_shortcuts", r.infeasible_shortcuts);
-    v.set("shards_total", r.shards_total);
-    v.set("shards_skipped", r.shards_skipped);
-    v.set("shards_prefilter_rejects", r.shards_prefilter_rejects);
     arr.push(std::move(v));
   }
   return arr;

@@ -1,4 +1,4 @@
-// Experiment E9 — incremental (ECO) patching: repeat extraction O(change).
+// Experiment E11 — incremental (ECO) patching: repeat extraction O(change).
 //
 // The HostSession claim under test: after an engineering change order edits
 // a loaded host, re-running a find through the patched session costs the
@@ -193,7 +193,7 @@ void run(cli::Format format, CoreMode core, bool quick) {
 
   if (format == cli::Format::kJson) {
     write_quick_doc(
-        "bench_eco", "E9", core, quick, rows, eco_counters_json(pairs),
+        "bench_eco", "E11", core, quick, rows, eco_counters_json(pairs),
         [&](report::Document& doc) {
           doc.set("patched_matches_cold", all_equivalent);
         },
@@ -212,7 +212,7 @@ void run(cli::Format format, CoreMode core, bool quick) {
     return;
   }
 
-  std::printf("E9: incremental (ECO) patching vs cold rebuild "
+  std::printf("E11: incremental (ECO) patching vs cold rebuild "
               "(%zu-device soup)\n\n",
               g.netlist.device_count());
   print_rows(rows);

@@ -414,12 +414,10 @@ Generated soc_grid(std::uint64_t tiles, std::uint64_t tile_units,
 
   // Shared bus district: one inv driver per bus net so the bus ties into
   // the rails like real logic. Each tile taps exactly one bus net (below),
-  // so a bus net's fanout is tiles/bus_bits + 1 — scale `tiles` past
-  // 64*bus_bits and the bus nets cross any sane shard fanout threshold and
-  // become boundary anchors, while every net INSIDE a tile stays degree
-  // <= 3. Bounding the per-net fanout this way (instead of wiring every
-  // unit to the bus) is what keeps both generation and the per-candidate
-  // match cost linear in the device count.
+  // so a bus net's fanout is tiles/bus_bits + 1, while every net INSIDE a
+  // tile stays degree <= 3. Bounding the per-net fanout this way (instead
+  // of wiring every unit to the bus) is what keeps both generation and the
+  // per-candidate match cost linear in the device count.
   std::vector<NetId> bus(bus_bits);
   for (std::uint64_t k = 0; k < bus_bits; ++k) {
     bus[k] = b.net("bus" + std::to_string(k));
@@ -429,8 +427,7 @@ Generated soc_grid(std::uint64_t tiles, std::uint64_t tile_units,
   // Core tiles: a chain of (nand2 -> inv) units. Unit 0 is the tile's bus
   // tap — its nand2 takes the bus net as second input; every later unit
   // feeds from the previous unit's nand2 output instead, so the intra-tile
-  // nets stay degree <= 3 and with the bus/rails as anchors each tile is
-  // exactly one connected region for the shard decomposition.
+  // nets stay degree <= 3.
   for (std::uint64_t t = 0; t < tiles; ++t) {
     const std::string tag = "t" + std::to_string(t) + "_";
     NetId chain = b.net(tag + "c0");
@@ -447,8 +444,8 @@ Generated soc_grid(std::uint64_t tiles, std::uint64_t tile_units,
 
   // Pad ring: ESD cells from discrete devices — a series resistor into the
   // pad node plus clamp diodes to both rails. Pads touch only res/diode
-  // devices and degree-1/3 nets, so a shard of pads shares no round-0 label
-  // with a CMOS logic pattern (the prefilter_rejects workload).
+  // devices and degree-1/3 nets, so they share no round-0 label with a
+  // CMOS logic pattern.
   {
     Module& m = *b.m;
     const DeviceCatalog& cat = b.lib.design().catalog();

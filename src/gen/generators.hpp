@@ -66,30 +66,25 @@ struct Generated {
 /// internally is NOT done — n-1 xor2 cells in a left-balanced tree).
 [[nodiscard]] Generated parity_tree(std::uint64_t inputs);
 
-/// Tiled synthetic SoC at transistor level — the multi-million-device host
-/// behind bench_shard's E10 experiment (DESIGN.md §11). Three structurally
-/// distinct districts, chosen so a fanout-bounded shard decomposition of the
-/// flattened netlist has real work to do:
+/// Tiled synthetic SoC at transistor level — the million-device host behind
+/// bench_scale's E12 experiment and the end-to-end soc_find workload
+/// (DESIGN.md §11). Three structurally distinct districts:
 ///
 ///   cores    `tiles` tiles, each a chain of `tile_units` (nand2 → inv)
 ///            units — 6 transistors per unit. Unit 0's nand2 takes its
 ///            second input from bus[t % bus_bits] (one bus tap per tile);
 ///            later units feed from the previous unit's nand2 output, so
-///            intra-tile nets stay degree ≤ 3 (each tile is one connected
-///            region, and per-candidate match cost stays O(1) in the SoC
-///            size).
+///            intra-tile nets stay degree ≤ 3 (per-candidate match cost
+///            stays O(1) in the SoC size).
 ///   bus      `bus_bits` shared nets driven by one inv each (so no net
-///            dangles). Bus fanout is tiles/bus_bits + 1: at tiles ≥
-///            64·bus_bits the bus nets cross the default --shard fanout
-///            threshold and become boundary anchors.
+///            dangles). Bus fanout is tiles/bus_bits + 1.
 ///   pad ring `pads` ESD cells: res(pad_i → pnode_i) plus clamp diodes
 ///            pnode_i → vdd and gnd → pnode_i. Pads touch only res/diode
-///            devices and degree-1/3 nets — a shard of pads shares no
-///            round-0 label with a CMOS logic pattern, which is what makes
-///            `shards.prefilter_rejects` > 0 on this workload.
+///            devices and degree-1/3 nets, so they share no round-0 label
+///            with a CMOS logic pattern and Phase I prunes them at once.
 ///
 /// Devices = 6·tiles·tile_units + 3·pads + 2·bus_bits. placed["nand2"] is
-/// exactly tiles·tile_units (the ground truth bench_shard checks).
+/// exactly tiles·tile_units (the ground truth bench_scale checks).
 [[nodiscard]] Generated soc_grid(std::uint64_t tiles, std::uint64_t tile_units,
                                  std::uint64_t pads,
                                  std::uint64_t bus_bits = 8);

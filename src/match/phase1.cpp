@@ -4,14 +4,12 @@
 #include <unordered_map>
 
 #include "graph/csr_core.hpp"
-#include "graph/shard_plan.hpp"
 #include "match/host_labels.hpp"
 #include "obs/metrics.hpp"
 #include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace subg {
 
@@ -38,25 +36,10 @@ struct Phase1State {
   std::uint64_t relabel_ops = 0;
   HostLabelCache::RailKey rail_key;
 
-  /// Optional host shard plan: consistency sweeps run per region, with the
-  /// round-0 prefilter bulk-skip (see consistency_sharded). Byte-identical
-  /// to the monolithic sweep by construction.
-  const ShardPlan* shards = nullptr;
-  /// Per-shard round-0 skip flags (sized to the plan), for the counters.
-  std::vector<std::uint8_t> shard_skip_net;
-  std::vector<std::uint8_t> shard_skip_dev;
-  /// Sharded-sweep scratch (per-lane census columns and prune counts),
-  /// reused across rounds.
-  std::vector<std::uint64_t> shard_cnt;
-  std::vector<std::size_t> shard_pruned;
-
   std::vector<Label> label_s;
   std::vector<Label> scratch_s;
   std::vector<bool> valid_s;  // pattern: valid (not corrupt)
-  /// Host: still a possible image of a valid vertex. Bytes, not bits: the
-  /// sharded sweep writes lanes in parallel, and shards own disjoint
-  /// vertices — distinct bytes are race-free where vector<bool> words are
-  /// not.
+  /// Host: still a possible image of a valid vertex.
   std::vector<std::uint8_t> possible_g;
   /// Host vertices treated as special for THIS match: a host net is special
   /// iff the pattern declares a same-named global (paper §IV.A — special
@@ -74,12 +57,7 @@ struct Phase1State {
         cache(host_cache),
         pool(options.pool),
         s_core(options.pattern_core),
-        g_core(options.host_core),
-        shards(options.shards) {
-    if (shards != nullptr) {
-      shard_skip_net.assign(shards->shards().size(), 0);
-      shard_skip_dev.assign(shards->shards().size(), 0);
-    }
+        g_core(options.host_core) {
     if (s_core != nullptr) {
       SUBG_CHECK_MSG(&s_core->graph() == &s,
                      "pattern csr core was built over a different graph");
@@ -257,7 +235,6 @@ struct Phase1State {
   /// functions of the label multisets, independent of container.
   [[nodiscard]] bool consistency(Kind kind) {
     if (!prune) return true;
-    if (shards != nullptr) return consistency_sharded(kind);
     if (s_core != nullptr) return consistency_flat(kind);
     std::unordered_map<Label, std::size_t> s_count;
     for (Vertex v = 0; v < s.vertex_count(); ++v) {
@@ -326,104 +303,6 @@ struct Phase1State {
     }
     for (std::size_t i = 0; i < u; ++i) {
       if (g_cnt[i] < s_cnt[i]) return false;  // no induced subgraph can exist
-    }
-    return true;
-  }
-
-  /// Sharded consistency (both cores route here when a plan is wired in):
-  /// the host sweep runs per region on the pool, each lane pruning its own
-  /// vertices against the shared sorted pattern-label column and keeping a
-  /// private census/prune count; lanes merge in shard-id order. At round 0
-  /// a shard whose prefilter proves NO owned vertex of the kind carries a
-  /// valid pattern label is bulk-marked impossible without per-vertex label
-  /// lookups — precisely the set of vertices the monolithic sweep would
-  /// prune one by one (labels at round 0 are the initial labels the plan
-  /// indexed; rails are already impossible and contribute to neither path).
-  /// The anchor boundary is its own lane, swept every round, never skipped.
-  [[nodiscard]] bool consistency_sharded(Kind kind) {
-    // Pattern census → sorted distinct labels + needed counts (a pure
-    // function of the label multiset, so legacy and csr agree).
-    std::vector<Label> sorted;
-    sorted.reserve(s.vertex_count());
-    for (Vertex v = 0; v < s.vertex_count(); ++v) {
-      if (kind_of(s, v, kind) && !s.is_special(v) && valid_s[v]) {
-        sorted.push_back(label_s[v]);
-      }
-    }
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<Label> uniq;
-    std::vector<std::uint64_t> s_cnt;
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      if (uniq.empty() || uniq.back() != sorted[i]) {
-        uniq.push_back(sorted[i]);
-        s_cnt.push_back(0);
-      }
-      ++s_cnt.back();
-    }
-    const std::size_t u = uniq.size();
-    const std::vector<ShardPlan::Shard>& regions = shards->shards();
-    const std::size_t lanes = regions.size() + 1;  // + the anchor boundary
-    const bool device_kind = kind == Kind::kDevice;
-    shard_cnt.assign(lanes * u, 0);
-    shard_pruned.assign(lanes, 0);
-
-    const std::vector<Label>& lg = *label_g;
-    const Label* ubegin = uniq.data();
-    const Label* uend = uniq.data() + u;
-    auto sweep = [&](std::span<const Vertex> verts, std::uint64_t* cnt,
-                     std::size_t* pr) {
-      for (Vertex v : verts) {
-        if (possible_g[v] == 0) continue;
-        const Label l = lg[v];
-        const Label* it = std::lower_bound(ubegin, uend, l);
-        if (it == uend || *it != l) {
-          possible_g[v] = 0;  // cannot be the image of any valid vertex
-          ++*pr;
-        } else {
-          ++cnt[static_cast<std::size_t>(it - ubegin)];
-        }
-      }
-    };
-    auto lane = [&](std::size_t i) {
-      std::uint64_t* cnt = shard_cnt.data() + i * u;
-      std::size_t* pr = &shard_pruned[i];
-      if (i == regions.size()) {
-        // Anchor lane: the boundary nets (devices are never anchors).
-        if (!device_kind) sweep(shards->anchor_nets(), cnt, pr);
-        return;
-      }
-      const ShardPlan::Shard& sh = regions[i];
-      const std::span<const Vertex> verts =
-          device_kind ? std::span<const Vertex>(sh.devices)
-                      : std::span<const Vertex>(sh.nets);
-      if (round == 0 && sh.rejects({ubegin, u}, device_kind)) {
-        for (Vertex v : verts) {
-          if (possible_g[v] != 0) {
-            possible_g[v] = 0;
-            ++*pr;
-          }
-        }
-        (device_kind ? shard_skip_dev : shard_skip_net)[i] = 1;
-        return;
-      }
-      sweep(verts, cnt, pr);
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(lanes, 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) lane(i);
-      });
-    } else {
-      for (std::size_t i = 0; i < lanes; ++i) lane(i);
-    }
-
-    // Deterministic merge in shard-id order (sums commute; the order is
-    // fixed anyway so the reduction is scheduling-independent by
-    // construction, not by arithmetic accident).
-    for (std::size_t i = 0; i < lanes; ++i) pruned += shard_pruned[i];
-    for (std::size_t j = 0; j < u; ++j) {
-      std::uint64_t have = 0;
-      for (std::size_t i = 0; i < lanes; ++i) have += shard_cnt[i * u + j];
-      if (have < s_cnt[j]) return false;  // no induced subgraph can exist
     }
     return true;
   }
@@ -577,25 +456,11 @@ Phase1Result run_phase1(const CircuitGraph& pattern, const CircuitGraph& host,
   SUBG_CHECK_MSG(&cache.host() == &host,
                  "host label cache was built over a different host graph");
 
-  if (options.shards != nullptr) {
-    SUBG_CHECK_MSG(&options.shards->graph() == &host,
-                   "host shard plan was built over a different host graph");
-  }
-
   Phase1State st(pattern, host, cache, options);
   st.prune = options.consistency_checks;
 
   Phase1Result result = run_phase1_refinement(pattern, host, options, st);
   result.relabel_ops = st.relabel_ops;
-  if (st.shards != nullptr) {
-    result.shards_total = st.shards->shards().size();
-    for (std::size_t i = 0; i < result.shards_total; ++i) {
-      const bool skip_net = st.shard_skip_net[i] != 0;
-      const bool skip_dev = st.shard_skip_dev[i] != 0;
-      if (skip_net || skip_dev) ++result.shards_skipped;
-      if (skip_net && skip_dev) ++result.shards_prefilter_rejects;
-    }
-  }
 
   if (options.metrics != nullptr) {
     obs::Metrics& m = *options.metrics;
@@ -603,14 +468,6 @@ Phase1Result run_phase1(const CircuitGraph& pattern, const CircuitGraph& host,
     m.add("phase1.rounds", result.rounds);
     m.add("phase1.relabel_ops", result.relabel_ops);
     m.add("phase1.consistency_prunes", st.pruned);
-    if (st.shards != nullptr) {
-      // Recorded only for sharded runs, so an unsharded metric tree is
-      // byte-identical to the pre-shard pipeline's.
-      m.add("phase1.shards.total", result.shards_total);
-      m.add("phase1.shards.skipped", result.shards_skipped);
-      m.add("phase1.shards.prefilter_rejects", result.shards_prefilter_rejects);
-      m.gauge("phase1.shards.bytes", static_cast<double>(st.shards->bytes()));
-    }
     if (st.s_core != nullptr) {
       m.gauge("csr.arena_bytes",
               static_cast<double>(st.arena.high_water_bytes()));

@@ -34,7 +34,6 @@ namespace subg {
 
 class CsrCore;
 class HostLabelCache;
-class ShardPlan;
 class ThreadPool;
 
 struct Phase1Options {
@@ -75,15 +74,6 @@ struct Phase1Options {
   /// byte-identical in every combination.
   const CsrCore* pattern_core = nullptr;
   const CsrCore* host_core = nullptr;
-  /// Optional shard plan over the host (graph/shard_plan.hpp; wired by
-  /// HostSession when SessionOptions::shard_target_devices > 0). The
-  /// host-side consistency sweeps then run per shard on `pool`, with the
-  /// round-0 sweep bulk-skipping shards whose prefilter proves no owned
-  /// vertex matches any valid pattern label. Must have been built over the
-  /// same host graph. Results — prunes, censuses, candidates, every
-  /// counter — are byte-identical to the unsharded sweep at every --jobs;
-  /// only the shards_* counters below are new.
-  const ShardPlan* shards = nullptr;
 };
 
 struct Phase1Result {
@@ -116,17 +106,6 @@ struct Phase1Result {
   /// (Host-side relabel work is accounted by the label cache; see
   /// HostLabelCache::CacheStats::relabel_ops.)
   std::uint64_t relabel_ops = 0;
-
-  /// Sharded-sweep counters (all zero when Phase1Options::shards is null).
-  /// Deterministic: the plan is a pure function of the host, the skip rule
-  /// a pure function of (plan, pattern). `shards_total` counts the plan's
-  /// regions (the anchor boundary sweeps separately and is never skipped);
-  /// `shards_skipped` counts regions bulk-skipped for at least one vertex
-  /// kind by the round-0 prefilter; `shards_prefilter_rejects` counts
-  /// regions rejected for BOTH kinds — fully dead before any search.
-  std::size_t shards_total = 0;
-  std::size_t shards_skipped = 0;
-  std::size_t shards_prefilter_rejects = 0;
 
   /// Filled only when Phase1Options::keep_labels is set: final labels and
   /// the pattern's valid (non-corrupt) flags, for invariant checking.

@@ -49,16 +49,13 @@ extern "C" void serve_signal_handler(int) {
 }  // namespace
 
 Server::HostContext::HostContext(std::string host_name, Netlist host_netlist,
-                                 CoreMode mode,
-                                 std::size_t shard_target_devices)
+                                 CoreMode mode)
     : name(std::move(host_name)),
       // An overflowing host falls back to the legacy core instead of
       // refusing every request (the session builds with core() == nullptr
       // and a structured core_status()): the daemon serves what it can.
-      session(HostSession::build(
-          std::move(host_netlist),
-          SessionOptions{.core = mode,
-                         .shard_target_devices = shard_target_devices})) {}
+      session(HostSession::build(std::move(host_netlist),
+                                 SessionOptions{.core = mode})) {}
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)), pool_(options_.jobs) {
@@ -114,9 +111,7 @@ std::shared_ptr<Server::HostContext> Server::load_host_file(
   }();
   const std::string text = sink.summary();
   if (!text.empty()) std::fwrite(text.data(), 1, text.size(), stderr);
-  return std::make_shared<HostContext>(name, std::move(netlist),
-                                       options_.core,
-                                       options_.shard_target_devices);
+  return std::make_shared<HostContext>(name, std::move(netlist), options_.core);
 }
 
 int Server::run() {
@@ -581,17 +576,6 @@ std::string Server::handle_status(const Request& request) {
       one.set("host", name);
       one.set("summary", netlist_summary(session.netlist()));
       one.set("csr_core", session.core() != nullptr);
-      // Shard-plan summary, mirroring the --shard flag: absent fields mean
-      // the session matches monolithically.
-      json::Value shards = json::Value::object();
-      shards.set("enabled", session.shards() != nullptr);
-      if (const ShardPlan* plan = session.shards()) {
-        shards.set("total", plan->shards().size());
-        shards.set("anchors", plan->anchor_nets().size());
-        shards.set("max_devices", plan->max_shard_devices());
-        shards.set("bytes", plan->bytes());
-      }
-      one.set("shards", std::move(shards));
       json::Value eco = json::Value::object();
       eco.set("patch_count", session.patch_count());
       eco.set("spill_bytes", session.spill_bytes());
@@ -644,7 +628,7 @@ std::string Server::handle_load(const Request& request) {
       Design design = spice::read_string(request.netlist);
       context = std::make_shared<HostContext>(
           request.name, design.flatten(default_top(design, request.top)),
-          options_.core, options_.shard_target_devices);
+          options_.core);
     } else {
       context = load_host_file(request.name, request.path, request.top);
     }

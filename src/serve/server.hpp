@@ -80,9 +80,6 @@ struct ServeOptions {
   /// ThreadPool lanes for match work (shared by all workers); 0 = hardware.
   std::size_t jobs = 1;
   CoreMode core = CoreMode::kCsr;
-  /// Phase I host sharding for every session the server builds (the
-  /// --shard flag; see SessionOptions::shard_target_devices). 0 = off.
-  std::size_t shard_target_devices = 0;
   /// Recovering parse mode for host loads (parse diagnostics to stderr).
   bool lenient = false;
   obs::Metrics* metrics = nullptr;
@@ -132,8 +129,7 @@ class Server {
     /// reads (the label cache inside has its own finer-grained mutex).
     std::shared_mutex session_mutex;
 
-    HostContext(std::string host_name, Netlist host_netlist, CoreMode mode,
-                std::size_t shard_target_devices);
+    HostContext(std::string host_name, Netlist host_netlist, CoreMode mode);
     HostContext(const HostContext&) = delete;
     HostContext& operator=(const HostContext&) = delete;
   };

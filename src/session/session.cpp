@@ -31,11 +31,6 @@ HostSession HostSession::build(Netlist netlist, SessionOptions options) {
       session.core_ = std::make_unique<CsrCore>(*session.graph_);
     }
   }
-  if (options.shard_target_devices > 0) {
-    session.shards_ = std::make_unique<ShardPlan>(ShardPlan::build(
-        *session.graph_, {.target_devices = options.shard_target_devices,
-                          .anchor_fanout = options.shard_anchor_fanout}));
-  }
   // Supplemental path labels, built once per session and shared by every
   // match (configure() wires them into MatchOptions::host_path_labels).
   // The core overload is preferred only as the faster walk; counts are
@@ -136,14 +131,6 @@ ApplyStats HostSession::apply(const NetlistDelta& delta) {
   auto new_paths = std::make_unique<analyze::PathLabels>(
       analyze::rebase_path_labels(*paths_, *new_graph, *new_netlist,
                                   new_to_old, dirty_seed));
-  // The shard plan rebuilds cold over the edited graph (a pure function of
-  // it, so a patched session's plan equals a cold build's by construction);
-  // like every other fallible step it runs before the commit point.
-  std::unique_ptr<ShardPlan> new_shards;
-  if (shards_ != nullptr) {
-    new_shards = std::make_unique<ShardPlan>(
-        ShardPlan::build(*new_graph, shards_->options()));
-  }
 
   SUBG_FAULT_POINT("session.patch");
 
@@ -152,7 +139,6 @@ ApplyStats HostSession::apply(const NetlistDelta& delta) {
   graph_ = std::move(new_graph);
   cache_ = std::move(new_cache);
   paths_ = std::move(new_paths);
-  shards_ = std::move(new_shards);
   core_status_ = new_core_status;
   if (want_core) {
     if (core_ != nullptr) {
@@ -198,7 +184,6 @@ ApplyStats HostSession::apply(const NetlistDelta& delta) {
 
 void HostSession::configure(MatchOptions& options) {
   options.phase1.host_cache = cache_.get();
-  options.phase1.shards = shards_.get();
   options.host_core = core_.get();
   options.host_path_labels = paths_.get();
   if (core_ == nullptr) options.core = CoreMode::kLegacy;

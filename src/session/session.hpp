@@ -36,7 +36,6 @@
 #include "analyze/analyze.hpp"
 #include "graph/circuit_graph.hpp"
 #include "graph/csr_core.hpp"
-#include "graph/shard_plan.hpp"
 #include "match/host_labels.hpp"
 #include "match/matcher.hpp"
 #include "netlist/netlist.hpp"
@@ -57,17 +56,6 @@ struct SessionOptions {
   /// Compact the core (release retained-but-unused storage) when a patch
   /// leaves more spill than this many bytes.
   std::size_t spill_compaction_bytes = std::size_t{1} << 20;
-  /// Shard the host for Phase I (graph/shard_plan.hpp): 0 (the default)
-  /// matches the whole host as one monolith; > 0 decomposes it into
-  /// fanout-bounded regions of at most this many owned devices, rebuilt on
-  /// every apply(). Reports stay byte-identical either way at every --jobs
-  /// and in both cores — sharding changes the sweep schedule and adds the
-  /// shards_* counters, never the result.
-  std::size_t shard_target_devices = 0;
-  /// Nets with at least this many pins become boundary anchors (replicated
-  /// by reference, never owned) when sharding is on. Tests lower it to
-  /// force many regions out of small hosts.
-  std::size_t shard_anchor_fanout = 64;
 };
 
 /// What one apply() did — the per-patch numbers behind the eco.* counters
@@ -131,10 +119,6 @@ class HostSession {
   }
   /// kComplete, or the kTruncated refusal explaining the missing core.
   [[nodiscard]] const RunStatus& core_status() const { return core_status_; }
-  /// Null unless SessionOptions::shard_target_devices > 0. Rebuilt cold on
-  /// every apply() (the plan is a pure function of the patched graph, so a
-  /// patched session's shards equal a cold build's).
-  [[nodiscard]] const ShardPlan* shards() const { return shards_.get(); }
   [[nodiscard]] const SessionOptions& options() const { return options_; }
 
   // --- session generation (serve `status`, eco.* counters) -------------
@@ -157,7 +141,6 @@ class HostSession {
   std::unique_ptr<Netlist> netlist_;
   std::unique_ptr<CircuitGraph> graph_;
   std::unique_ptr<CsrCore> core_;
-  std::unique_ptr<ShardPlan> shards_;
   std::unique_ptr<HostLabelCache> cache_;
   std::unique_ptr<analyze::PathLabels> paths_;
   RunStatus core_status_;

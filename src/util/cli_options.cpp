@@ -1,6 +1,9 @@
 #include "util/cli_options.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
 namespace subg::cli {
 
@@ -14,6 +17,43 @@ namespace {
   const std::size_t n = std::string::traits_type::length(prefix);
   if (arg.compare(0, n, prefix) != 0) return nullptr;
   return arg.c_str() + n;
+}
+
+/// Parse the value of a count flag into `*out`: plain decimal digits (no
+/// sign, space or prefix, so "-1" cannot wrap to a huge count), in range
+/// for size_t, from 1 to `max`. On a bad value set `error`, naming the
+/// accepted range, and return false.
+[[nodiscard]] bool count_flag(const char* v, const char* name, std::size_t max,
+                              std::size_t* out, std::string* error) {
+  const char* end = v + std::strlen(v);
+  std::size_t n = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, n);
+  if (ec != std::errc{} || ptr != end || n == 0 || n > max) {
+    *error = std::string("bad ") + name + " value '" + v + "' (want " +
+             (max == SIZE_MAX ? std::string("a positive integer")
+                              : "an integer from 1 to " + std::to_string(max)) +
+             ")";
+    return false;
+  }
+  *out = n;
+  return true;
+}
+
+/// Parse the value of a duration flag (seconds) into `*out`: a finite
+/// number in (0, kMaxSeconds]. NaN, infinities and huge values are refused
+/// here because converting them to a clock duration overflows. On a bad
+/// value set `error` and return false.
+[[nodiscard]] bool seconds_flag(const char* v, const char* name, double* out,
+                                std::string* error) {
+  char* end = nullptr;
+  const double seconds = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !(seconds > 0 && seconds <= kMaxSeconds)) {
+    *error = std::string("bad ") + name + " value '" + v +
+             "' (want seconds, > 0 and <= 1e9)";
+    return false;
+  }
+  *out = seconds;
+  return true;
 }
 
 }  // namespace
@@ -31,23 +71,16 @@ ParsedArgs parse_args(const std::vector<std::string>& args) {
       continue;
     }
     if (const char* v = flag_value(arg, "--timeout=")) {
-      char* end = nullptr;
-      const double seconds = std::strtod(v, &end);
-      if (end == v || *end != '\0' || seconds <= 0) {
-        out.error = std::string("bad --timeout value '") + v + "'";
-        return out;
-      }
+      double seconds = 0;
+      if (!seconds_flag(v, "--timeout", &seconds, &out.error)) return out;
       out.options.budget.set_deadline_after(seconds);
       continue;
     }
     if (const char* v = flag_value(arg, "--jobs=")) {
-      char* end = nullptr;
-      const unsigned long jobs = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0' || jobs == 0) {
-        out.error = std::string("bad --jobs value '") + v + "'";
+      if (!count_flag(v, "--jobs", kMaxThreads, &out.options.jobs,
+                      &out.error)) {
         return out;
       }
-      out.options.jobs = static_cast<std::size_t>(jobs);
       continue;
     }
     if (arg == "--lenient") {
@@ -121,24 +154,6 @@ ParsedArgs parse_args(const std::vector<std::string>& args) {
       out.options.core = *mode;
       continue;
     }
-    if (const char* v = flag_value(arg, "--shard=")) {
-      const std::string value = v;
-      if (value == "off") {
-        out.options.shard_target_devices = 0;
-      } else if (value == "on") {
-        out.options.shard_target_devices = std::size_t{1} << 16;
-      } else {
-        char* end = nullptr;
-        const unsigned long target = std::strtoul(v, &end, 10);
-        if (end == v || *end != '\0' || target == 0) {
-          out.error = std::string("bad --shard value '") + v +
-                      "' (want on, off, or a region size >= 1)";
-          return out;
-        }
-        out.options.shard_target_devices = static_cast<std::size_t>(target);
-      }
-      continue;
-    }
     if (const char* v = flag_value(arg, "--phase2-filter=")) {
       const auto filter = parse_phase2_filter(v);
       if (!filter.has_value()) {
@@ -170,43 +185,31 @@ ParsedArgs parse_args(const std::vector<std::string>& args) {
       continue;
     }
     if (const char* v = flag_value(arg, "--serve-workers=")) {
-      char* end = nullptr;
-      const unsigned long workers = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0' || workers == 0) {
-        out.error = std::string("bad --serve-workers value '") + v + "'";
+      if (!count_flag(v, "--serve-workers", kMaxThreads,
+                      &out.options.serve_workers, &out.error)) {
         return out;
       }
-      out.options.serve_workers = static_cast<std::size_t>(workers);
       continue;
     }
     if (const char* v = flag_value(arg, "--max-pending=")) {
-      char* end = nullptr;
-      const unsigned long pending = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0' || pending == 0) {
-        out.error = std::string("bad --max-pending value '") + v + "'";
+      if (!count_flag(v, "--max-pending", SIZE_MAX, &out.options.max_pending,
+                      &out.error)) {
         return out;
       }
-      out.options.max_pending = static_cast<std::size_t>(pending);
       continue;
     }
     if (const char* v = flag_value(arg, "--max-request-bytes=")) {
-      char* end = nullptr;
-      const unsigned long bytes = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0' || bytes == 0) {
-        out.error = std::string("bad --max-request-bytes value '") + v + "'";
+      if (!count_flag(v, "--max-request-bytes", SIZE_MAX,
+                      &out.options.max_request_bytes, &out.error)) {
         return out;
       }
-      out.options.max_request_bytes = static_cast<std::size_t>(bytes);
       continue;
     }
     if (const char* v = flag_value(arg, "--request-timeout=")) {
-      char* end = nullptr;
-      const double seconds = std::strtod(v, &end);
-      if (end == v || *end != '\0' || seconds <= 0) {
-        out.error = std::string("bad --request-timeout value '") + v + "'";
+      if (!seconds_flag(v, "--request-timeout", &out.options.request_timeout,
+                        &out.error)) {
         return out;
       }
-      out.options.request_timeout = seconds;
       continue;
     }
     if (const char* v = flag_value(arg, "--socket=")) {
@@ -230,10 +233,15 @@ ParsedArgs parse_args(int argc, char** argv, int first) {
 }
 
 const char* global_flags_help() {
+  static_assert(kMaxThreads == 1024, "update the --jobs/--serve-workers help");
+  static_assert(kMaxSeconds == 1e9,
+                "update the --timeout/--request-timeout help");
   return
-      "  --timeout=<sec>    wall-clock budget; a run cut short exits 75\n"
-      "  --jobs=<n>         parallel lanes (default: hardware concurrency;\n"
-      "                     1 = serial; results are identical at every value)\n"
+      "  --timeout=<sec>    wall-clock budget, at most 1e9; a run cut short\n"
+      "                     exits 75\n"
+      "  --jobs=<n>         parallel lanes, 1 to 1024 (default: hardware\n"
+      "                     concurrency; 1 = serial; results are identical\n"
+      "                     at every value)\n"
       "  --lenient          recover from malformed input lines (diagnostics\n"
       "                     go to stderr) instead of failing\n"
       "  --format=<fmt>     output format: text (default) or json (one\n"
@@ -250,12 +258,6 @@ const char* global_flags_help() {
       "  --core=<layout>    matching-core layout: csr (default; flattened\n"
       "                     index arrays) or legacy (direct graph walks);\n"
       "                     reports are byte-identical either way\n"
-      "  --shard=<mode>     Phase I host sharding: off (default; one\n"
-      "                     monolithic sweep), on (fanout-bounded regions of\n"
-      "                     at most 65536 devices), or an explicit region\n"
-      "                     size N >= 1; reports are byte-identical at every\n"
-      "                     value, sharding only reschedules the sweeps and\n"
-      "                     adds the shards_* counters\n"
       "  --phase2-filter=<mode> Phase II prefilter strength: paths (default;\n"
       "                     signature check + supplemental path-label\n"
       "                     refuter), on (signature alone), or off (pure\n"
@@ -269,13 +271,15 @@ const char* global_flags_help() {
       "  --delta=FILE       find/extract: apply an ECO delta (JSON-lines,\n"
       "                     one op per line) to the host before matching\n"
       "  serve-only flags:\n"
-      "  --serve-workers=<n>    concurrent request workers (default 1)\n"
+      "  --serve-workers=<n>    concurrent request workers, 1 to 1024\n"
+      "                         (default 1)\n"
       "  --max-pending=<n>      queued-request bound; beyond it requests\n"
       "                         are answered `overloaded` (default 64)\n"
       "  --max-request-bytes=<n> longest accepted request line; longer\n"
       "                         lines are answered `oversized` (default 1M)\n"
-      "  --request-timeout=<sec> default per-request budget; an expired\n"
-      "                         request answers `deadline_expired`\n"
+      "  --request-timeout=<sec> default per-request budget, at most 1e9;\n"
+      "                         an expired request answers\n"
+      "                         `deadline_expired`\n"
       "  --socket=PATH          serve an AF_UNIX socket at PATH instead of\n"
       "                         stdin/stdout\n";
 }

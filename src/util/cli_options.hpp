@@ -5,7 +5,8 @@
 // everywhere with the same spelling, validation, and error message:
 //
 //   --timeout=<sec>      wall-clock budget (arms GlobalOptions::budget)
-//   --jobs=<n>           parallel lanes; n >= 1 (0 stays "unset")
+//   --jobs=<n>           parallel lanes; 1 <= n <= kMaxThreads (0 stays
+//                        "unset")
 //   --lenient            recovering parse mode
 //   --format=text|json   output format (text is the historical default)
 //   --metrics[=FILE]     collect search metrics; dump the counter tree to
@@ -15,9 +16,6 @@
 //   --fail-on=warn|error severity threshold for a nonzero lint exit
 //   --lint               run the lint checks before extraction
 //   --core=csr|legacy    matching-core layout (csr is the default)
-//   --shard=on|off|N     Phase I host sharding: off (default), on (regions
-//                        of at most 65536 devices), or an explicit region
-//                        size N >= 1; results are byte-identical either way
 //   --phase2-filter=paths|on|off
 //                        Phase II prefilter strength: paths (default;
 //                        signature + supplemental path-label refuter), on
@@ -47,6 +45,16 @@ namespace subg::cli {
 
 enum class Format { kText, kJson };
 
+/// Upper bound on the thread-count flags (--jobs, --serve-workers): each
+/// lane is an OS thread, so a typo like --jobs=100000 is refused instead
+/// of starting that many.
+inline constexpr std::size_t kMaxThreads = 1024;
+
+/// Upper bound on the duration flags (--timeout, --request-timeout), in
+/// seconds: about 31 years, well inside what a nanosecond steady_clock
+/// duration can hold.
+inline constexpr double kMaxSeconds = 1e9;
+
 /// --fail-on: lowest finding severity that turns into a nonzero exit.
 /// kError is the default (warnings inform, errors gate); kWarn tightens the
 /// gate for CI runs that want a warning-clean deck.
@@ -56,7 +64,7 @@ struct GlobalOptions {
   /// Armed iff --timeout was given; default-unlimited otherwise.
   Budget budget;
   /// 0 = unset (front ends map it to their own default, typically hardware
-  /// concurrency); --jobs rejects 0 explicitly.
+  /// concurrency); --jobs rejects 0 and anything above kMaxThreads.
   std::size_t jobs = 0;
   bool lenient = false;
   Format format = Format::kText;
@@ -75,12 +83,6 @@ struct GlobalOptions {
   /// runs the flattened SoA sweeps; legacy walks the CircuitGraph directly.
   /// Reports are byte-identical either way.
   CoreMode core = CoreMode::kCsr;
-  /// --shard: Phase I host sharding (graph/shard_plan.hpp). 0 (the default,
-  /// --shard=off) matches the whole host as one monolith; --shard=on uses
-  /// 65536-device regions; --shard=N sets the region size explicitly.
-  /// Reports are byte-identical at every value — sharding changes the sweep
-  /// schedule and adds the shards_* counters, never the result.
-  std::size_t shard_target_devices = 0;
   /// --phase2-filter: Phase II prefilter strength (util/phase2_filter.hpp).
   /// paths (the default) adds the supplemental path-label refuter on top of
   /// the signature prefilter and nogood memo; on/off are the weaker A/B

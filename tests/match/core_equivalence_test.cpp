@@ -82,6 +82,9 @@ TEST(CoreEquivalence, GeneratedCircuitsAllCells) {
   struct Case {
     const char* cell;
     gen::Generated host;
+    /// Also require found == placed_count(cell): set only where the host
+    /// cannot form an accidental instance of the cell.
+    bool exact = false;
   };
   std::vector<Case> cases;
   cases.push_back({"fulladder", gen::ripple_carry_adder(12)});
@@ -89,6 +92,9 @@ TEST(CoreEquivalence, GeneratedCircuitsAllCells) {
   cases.push_back({"xor2", gen::kogge_stone_adder(8)});
   cases.push_back({"dff", gen::register_file(4, 4)});
   cases.push_back({"sram6t", gen::sram_array(4, 8)});
+  // The scale bench's soc_grid family at toy size: tiles of nand2 -> inv
+  // chains, a shared bus and a res/diode pad ring.
+  cases.push_back({"nand2", gen::soc_grid(12, 6, 8, 2), true});
   for (const Case& c : cases) {
     Netlist pattern = lib.pattern(c.cell);
     MatchReport legacy =
@@ -96,6 +102,9 @@ TEST(CoreEquivalence, GeneratedCircuitsAllCells) {
     MatchReport csr = run_with_core(pattern, c.host.netlist, CoreMode::kCsr);
     expect_reports_equal(legacy, csr, c.cell);
     EXPECT_EQ(report_json(legacy), report_json(csr)) << c.cell;
+    if (c.exact) {
+      EXPECT_EQ(csr.count(), c.host.placed_count(c.cell)) << c.cell;
+    }
   }
 }
 

@@ -23,7 +23,7 @@ the baseline, 1 on any mismatch or missing bench.
 
 By default every bench in the baseline must have an output — the gate exists
 to catch silent coverage loss, not just drift. CI lanes that deliberately
-split the benches (the scale-gate lane runs only bench_shard; bench-gate
+split the benches (the scale-gate lane runs only bench_scale; bench-gate
 runs the rest) pass --subset to gate just the outputs they produced;
 tools/check_ci_coverage.py separately asserts that the union of all lanes
 still covers every baseline bench, so --subset never hides a dropped bench.
@@ -48,10 +48,6 @@ GATED_KEYS = (
     # Static-analyzer counters (path-label prunes in the Phase II prefilter,
     # automorphism-folded enumeration skips, certificate short-circuits).
     "path_label_prunes", "symmetry_skips", "infeasible_shortcuts",
-    # Sharded-sweep counters: the region plan is a pure function of the host
-    # and the round-0 skip rule a pure function of (plan, pattern), so these
-    # are exact too. Zero on monolithic rows.
-    "shards_total", "shards_skipped", "shards_prefilter_rejects",
 )
 
 
@@ -64,11 +60,24 @@ def row_key(row):
     return (row.get("circuit", "?"), row.get("cell", "?"))
 
 
+def rows_by_key(tool, side, rows, problems):
+    """Index rows by (circuit, cell). A key that appears twice would leave
+    every copy but the last ungated, so duplicates are problems."""
+    by_key = {}
+    for r in rows:
+        key = row_key(r)
+        if key in by_key:
+            problems.append(f"{tool}: duplicate row {key} in {side} "
+                            "(each (circuit, cell) must be unique)")
+        by_key[key] = r
+    return by_key
+
+
 def check_counters(tool, baseline_rows, output_rows):
     """Exact comparison; returns a list of human-readable problems."""
     problems = []
-    base_by_key = {row_key(r): r for r in baseline_rows}
-    out_by_key = {row_key(r): r for r in output_rows}
+    base_by_key = rows_by_key(tool, "baseline", baseline_rows, problems)
+    out_by_key = rows_by_key(tool, "output", output_rows, problems)
     for key in base_by_key:
         if key not in out_by_key:
             problems.append(f"{tool}: row {key} missing from output")

@@ -8,7 +8,7 @@ Two drift modes this script exists to catch:
     documentation instead of a gate.
   * A bench is recorded in BENCH_baseline.json but no lane invokes it —
     --subset gating (bench-gate runs the small hosts, scale-gate runs the
-    million-device bench_shard) makes per-lane checks partial BY DESIGN,
+    million-device bench_scale) makes per-lane checks partial BY DESIGN,
     so the union has to be audited somewhere. This is that somewhere.
 
 The checks are textual on purpose: labels are read from the LABELS

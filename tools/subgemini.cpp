@@ -291,7 +291,6 @@ int cmd_find(const std::vector<std::string>& args) {
   // label cache, patched in place by --delta instead of reparsed.
   SessionOptions so;
   so.core = g_opts.core;
-  so.shard_target_devices = g_opts.shard_target_devices;
   HostSession session = HostSession::build(load(args[1], g_opts.top), so);
   const std::optional<ApplyStats> eco = apply_cli_delta(session);
   record_session_core(session);
@@ -370,7 +369,6 @@ int cmd_extract(const std::vector<std::string>& args) {
 
   SessionOptions so;
   so.core = g_opts.core;
-  so.shard_target_devices = g_opts.shard_target_devices;
   HostSession session = HostSession::build(load(args[1], g_opts.top), so);
   const std::optional<ApplyStats> eco = apply_cli_delta(session);
   const Netlist& host = session.netlist();
@@ -750,7 +748,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   so.request_timeout = g_opts.request_timeout;
   so.jobs = g_opts.jobs == 0 ? 1 : g_opts.jobs;
   so.core = g_opts.core;
-  so.shard_target_devices = g_opts.shard_target_devices;
   so.lenient = g_opts.lenient;
   so.metrics = g_metrics;
   so.socket_path = g_opts.socket_path;
