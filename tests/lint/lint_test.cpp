@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -529,6 +530,13 @@ struct CorpusCase {
   int errors;
   int warnings;
 };
+
+// Without a printer gtest dumps the struct's bytes, pointers included, into
+// the listed test name, which would then change from run to run.
+void PrintTo(const CorpusCase& c, std::ostream* os) {
+  *os << '{' << c.stem << ", " << c.top << ", " << c.errors << ", "
+      << c.warnings << '}';
+}
 
 class LintCorpus : public ::testing::TestWithParam<CorpusCase> {};
 

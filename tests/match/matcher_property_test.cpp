@@ -2,6 +2,8 @@
 // check completeness, soundness, and determinism (parameterized sweep).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cells/cells.hpp"
 #include "gen/generators.hpp"
 #include "match/matcher.hpp"
@@ -15,6 +17,12 @@ struct Params {
   std::size_t planted;
   std::uint64_t seed;
 };
+
+// Without a printer gtest dumps the struct's bytes, pointers included, into
+// the listed test name, which would then change from run to run.
+void PrintTo(const Params& p, std::ostream* os) {
+  *os << '{' << p.cell << ", " << p.planted << ", " << p.seed << '}';
+}
 
 class PlantedInstances : public ::testing::TestWithParam<Params> {};
 
